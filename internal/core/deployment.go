@@ -141,18 +141,14 @@ func BuildXCBCContext(ctx context.Context, eng *sim.Engine, c *cluster.Cluster, 
 	if err := PreflightXCBC(c); err != nil {
 		return nil, err
 	}
-	dist, err := BuildDistribution(o.Scheduler, o.OptionalRolls...)
-	if err != nil {
-		return nil, err
-	}
-	graph, err := xsedeGraph(o.Scheduler)
+	rec, err := recipeFor(o.Scheduler, o.OptionalRolls)
 	if err != nil {
 		return nil, err
 	}
 	o.emit(BuildEvent{Stage: "distribution",
-		Message: fmt.Sprintf("assembled %s (%d rolls)", dist.Name, len(dist.RollNames()))})
-	feDB := rocks.NewFrontendDB(dist)
-	installer := provision.NewInstaller(c, feDB, graph, "CentOS "+CentOSVersion)
+		Message: fmt.Sprintf("assembled %s (%d rolls)", rec.dist.Name, len(rec.dist.RollNames()))})
+	feDB := rocks.NewFrontendDB(rec.dist)
+	installer := provision.NewInstaller(c, feDB, rec.graph, "CentOS "+CentOSVersion)
 	installer.Hook = o.InstallHook
 	start := eng.Now()
 	d := &Deployment{
@@ -167,6 +163,7 @@ func BuildXCBCContext(ctx context.Context, eng *sim.Engine, c *cluster.Cluster, 
 		return nil, fmt.Errorf("core: XCBC install failed: %w", err)
 	}
 	d.PackagesInstalled += feRes.Packages
+	d.Modules = rec.frontendModules(c.Frontend.Packages().Installed())
 	o.emit(BuildEvent{Stage: "frontend", Node: feRes.Node,
 		Packages: feRes.Packages, Elapsed: feRes.Duration,
 		Message: "frontend installed from distribution media"})
@@ -221,7 +218,8 @@ func NewVendorDeployment(eng *sim.Engine, c *cluster.Cluster, scheduler string, 
 	return d, nil
 }
 
-// finishAssembly starts the subsystems shared by both build paths.
+// finishAssembly starts the subsystems shared by both build paths,
+// generating the module tree unless the build path already supplied one.
 func (d *Deployment) finishAssembly(o Options) {
 	d.MonitorInterval = o.MonitorInterval
 	if d.Scheduler != "" {
@@ -229,8 +227,9 @@ func (d *Deployment) finishAssembly(o Options) {
 			d.Batch = sched.NewManager(d.Engine, d.Cluster, policy)
 		}
 	}
-	d.Modules = modules.GenerateFromPackages(d.Cluster.Frontend.Packages(),
-		CategoryCompilers, CategorySciApps)
+	if d.Modules == nil {
+		d.RegenerateModules()
+	}
 	loadFn := func(node string) float64 {
 		if d.Batch == nil || node == d.Cluster.Frontend.Name {
 			return 0 // the frontend is not in the batch pool
@@ -248,7 +247,7 @@ func (d *Deployment) finishAssembly(o Options) {
 // RegenerateModules rebuilds the module tree from the frontend's current
 // package set (after XNIT installs add software).
 func (d *Deployment) RegenerateModules() {
-	d.Modules = modules.GenerateFromPackages(d.Cluster.Frontend.Packages(),
+	d.Modules = modules.GenerateFromPackages(d.Cluster.Frontend.Packages().Installed(),
 		CategoryCompilers, CategorySciApps)
 }
 

@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"strings"
-	"sync"
 
 	"xcbc/internal/rocks"
 	"xcbc/internal/rpm"
@@ -109,72 +107,16 @@ func BuildOptionalRoll(byName map[string]*rpm.Package, name string) (*rocks.Roll
 	return roll, nil
 }
 
-// distCache memoizes successful BuildDistribution results keyed by the
-// exact (scheduler, optional-roll sequence) request. The catalog is static
-// and distributions are immutable once built, so every fleet member asking
-// for the same recipe shares one distribution — and with it the cached
-// per-appliance install sets — instead of rebuilding ~170 packages and
-// three rolls apiece. Error paths are cheap and stay uncached.
-var distCache sync.Map // string -> *rocks.Distribution
-
 // BuildDistribution assembles the complete XCBC install tree: base roll,
 // XSEDE roll for the chosen scheduler, plus the requested optional rolls.
-// Identical requests return one shared, immutable distribution.
+// The order and repetition of optionalRolls do not matter: every request
+// for the same recipe returns one shared, immutable distribution.
 func BuildDistribution(scheduler string, optionalRolls ...string) (*rocks.Distribution, error) {
-	key := scheduler + "\x00" + strings.Join(optionalRolls, "\x00")
-	if d, ok := distCache.Load(key); ok {
-		return d.(*rocks.Distribution), nil
-	}
-	d, err := buildDistributionUncached(scheduler, optionalRolls...)
+	r, err := recipeFor(scheduler, optionalRolls)
 	if err != nil {
 		return nil, err
 	}
-	// A concurrent builder may have won the race; keep the first stored
-	// value so all callers share one instance.
-	actual, _ := distCache.LoadOrStore(key, d)
-	return actual.(*rocks.Distribution), nil
-}
-
-// graphCache memoizes the kickstart graph per scheduler. The graph is
-// fully assembled (DefaultGraph + XSEDE fragments) before it is shared and
-// never mutated afterwards; every deployment of the same scheduler reads
-// one instance, whose ActionsFor results are themselves memoized.
-var graphCache sync.Map // string -> *rocks.Graph
-
-// xsedeGraph returns the shared kickstart graph for a scheduler.
-func xsedeGraph(scheduler string) (*rocks.Graph, error) {
-	if g, ok := graphCache.Load(scheduler); ok {
-		return g.(*rocks.Graph), nil
-	}
-	g := rocks.DefaultGraph()
-	if err := rocks.AttachXSEDEFragments(g, scheduler); err != nil {
-		return nil, err
-	}
-	actual, _ := graphCache.LoadOrStore(scheduler, g)
-	return actual.(*rocks.Graph), nil
-}
-
-func buildDistributionUncached(scheduler string, optionalRolls ...string) (*rocks.Distribution, error) {
-	byName := CatalogByName(Catalog())
-	base := BuildBaseRoll(byName)
-	xsedeRoll, err := BuildXSEDERoll(byName, scheduler)
-	if err != nil {
-		return nil, err
-	}
-	rolls := []*rocks.Roll{base, xsedeRoll}
-	seen := map[string]bool{}
-	for _, name := range optionalRolls {
-		if seen[name] {
-			continue
-		}
-		seen[name] = true
-		r, err := BuildOptionalRoll(byName, name)
-		if err != nil {
-			return nil, err
-		}
-		rolls = append(rolls, r)
-	}
-	return rocks.BuildDistribution("xcbc-"+XCBCVersion+"-"+scheduler, rolls...)
+	return r.dist, nil
 }
 
 // Table1Row is one row of Table 1 (general cluster setup).

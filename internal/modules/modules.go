@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"xcbc/internal/rpm"
 )
@@ -36,9 +35,8 @@ func (m *Modulefile) Key() string { return m.Name + "/" + m.Version }
 type System struct {
 	files map[string][]*Modulefile // name -> versions
 
-	// shared marks files as an alias of a memoized module tree served to
-	// every deployment of the same package set (see GenerateFromPackages).
-	// The first Add detaches onto private copies.
+	// shared marks files as an alias of another System's module tree (see
+	// Share). The first Add detaches onto private copies.
 	shared bool
 }
 
@@ -47,10 +45,18 @@ func NewSystem() *System {
 	return &System{files: make(map[string][]*Modulefile)}
 }
 
-// detach gives a System aliasing a memoized module tree its own map, so
-// an Add cannot leak into other deployments of the same package set. The
-// per-name slices stay shared but capacity-capped: appends copy on write,
-// and Add's replace path copies before writing.
+// Share returns a copy-on-write alias of s: it reads s's modules without
+// copying them, and its first Add detaches onto a private map, so no alias
+// writes into s or a sibling alias. s itself must not be modified once it
+// has been shared.
+func (s *System) Share() *System {
+	return &System{files: s.files, shared: true}
+}
+
+// detach gives a System aliasing another's module tree its own map, so an
+// Add cannot leak into the tree it was shared from. The per-name slices
+// stay shared but capacity-capped: appends copy on write, and Add's
+// replace path copies before writing.
 func (s *System) detach() {
 	if !s.shared {
 		return
@@ -70,7 +76,7 @@ func (s *System) Add(m *Modulefile) {
 	for i, existing := range list {
 		if existing.Version == m.Version {
 			// Copy before writing: the backing array may still be shared
-			// with the memoized tree this System detached from.
+			// with the tree this System detached from.
 			cp := append([]*Modulefile(nil), list...)
 			cp[i] = m
 			s.files[m.Name] = cp
@@ -288,70 +294,12 @@ func (sess *Session) List() []string {
 // Env returns the current value of an environment variable.
 func (sess *Session) Env(key string) string { return sess.env[key] }
 
-// GenerateFromPackages derives modulefiles from an installed-package
-// database: every package in the given categories gets a module exposing
-// /opt/apps/<name>/<version> paths, laid out the way XSEDE clusters lay out
-// their software trees (the paper: "libraries are in the same place as on
-// XSEDE clusters").
-func GenerateFromPackages(db *rpm.DB, categories ...string) *System {
-	pkgs := db.Installed()
-
-	// Fleet members adopting the same install set hand in the identical
-	// package list, so the whole module tree is memoized: a cache hit
-	// returns a fresh System header aliasing the shared map (Add detaches).
-	// The key is cheap and collision-checked — same first package pointer,
-	// length, and categories, verified element-by-element on hit.
-	key := systemKey{n: len(pkgs), cats: strings.Join(categories, "\x00")}
-	if len(pkgs) > 0 {
-		key.first = pkgs[0]
-	}
-	if e, ok := systems.Load(key); ok {
-		ent := e.(*systemEntry)
-		if samePackages(ent.pkgs, pkgs) {
-			return &System{files: ent.files, shared: true}
-		}
-		// Key collision with different contents: build uncached.
-		return buildSystem(pkgs, categories)
-	}
-	sys := buildSystem(pkgs, categories)
-	ent := &systemEntry{pkgs: pkgs, files: sys.files}
-	if e, loaded := systems.LoadOrStore(key, ent); loaded {
-		if ent2 := e.(*systemEntry); samePackages(ent2.pkgs, pkgs) {
-			return &System{files: ent2.files, shared: true}
-		}
-		return sys
-	}
-	return &System{files: ent.files, shared: true}
-}
-
-type systemKey struct {
-	first *rpm.Package
-	n     int
-	cats  string
-}
-
-type systemEntry struct {
-	pkgs  []*rpm.Package
-	files map[string][]*Modulefile
-}
-
-var systems sync.Map // systemKey -> *systemEntry
-
-// samePackages reports whether two package lists are the identical
-// pointers in the identical order.
-func samePackages(a, b []*rpm.Package) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func buildSystem(pkgs []*rpm.Package, categories []string) *System {
+// GenerateFromPackages derives modulefiles from an installed package list
+// (an rpm.DB's Installed()): every package in the given categories gets a
+// module exposing /opt/apps/<name>/<version> paths, laid out the way XSEDE
+// clusters lay out their software trees (the paper: "libraries are in the
+// same place as on XSEDE clusters").
+func GenerateFromPackages(pkgs []*rpm.Package, categories ...string) *System {
 	wanted := make(map[string]bool, len(categories))
 	for _, c := range categories {
 		wanted[c] = true
@@ -366,20 +314,9 @@ func buildSystem(pkgs []*rpm.Package, categories []string) *System {
 	return sys
 }
 
-// generated caches the modulefile derived from each package. Packages are
-// immutable once published and fleet members share catalog pointers, so
-// every member generating modules for the same frontend package set reuses
-// one Modulefile instead of allocating the maps and env keys afresh.
-// Generated modulefiles are read-only by contract (Load/Unload only read
-// them; Add replaces rather than mutates).
-var generated sync.Map // *rpm.Package -> *Modulefile
-
 func moduleForPackage(p *rpm.Package) *Modulefile {
-	if m, ok := generated.Load(p); ok {
-		return m.(*Modulefile)
-	}
 	root := fmt.Sprintf("/opt/apps/%s/%s", p.Name, p.EVR.Version)
-	m := &Modulefile{
+	return &Modulefile{
 		Name:    p.Name,
 		Version: p.EVR.Version,
 		Default: true,
@@ -392,6 +329,4 @@ func moduleForPackage(p *rpm.Package) *Modulefile {
 			"XSEDE_" + strings.ToUpper(strings.NewReplacer("-", "_", ".", "_").Replace(p.Name)) + "_DIR": root,
 		},
 	}
-	actual, _ := generated.LoadOrStore(p, m)
-	return actual.(*Modulefile)
 }

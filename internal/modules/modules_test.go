@@ -208,7 +208,7 @@ func TestGenerateFromPackages(t *testing.T) {
 	if err := tx.Run(db); err != nil {
 		t.Fatal(err)
 	}
-	sys := GenerateFromPackages(db, "Scientific Applications", "Compilers, libraries, and programming")
+	sys := GenerateFromPackages(db.Installed(), "Scientific Applications", "Compilers, libraries, and programming")
 	avail := sys.Avail()
 	if len(avail) != 2 {
 		t.Fatalf("Avail = %v (bash should be excluded)", avail)
@@ -224,27 +224,28 @@ func TestGenerateFromPackages(t *testing.T) {
 		t.Fatalf("XSEDE_GROMACS_DIR = %q", sess.Env("XSEDE_GROMACS_DIR"))
 	}
 	// No category filter: everything gets a module.
-	all := GenerateFromPackages(db)
+	all := GenerateFromPackages(db.Installed())
 	if len(all.Avail()) != 3 {
 		t.Fatalf("unfiltered Avail = %v", all.Avail())
 	}
 }
 
-// TestGenerateFromPackagesMemoized pins the sharing contract: two
-// generations over the identical package list alias one module tree, and
-// an Add on one detaches it without leaking into the other.
-func TestGenerateFromPackagesMemoized(t *testing.T) {
-	db := rpm.NewDB()
-	var tx rpm.Transaction
-	tx.Install(rpm.NewPackage("gromacs", "4.6.5-2.el6", rpm.ArchX86_64).
-		Category("Scientific Applications").Build())
-	if err := tx.Run(db); err != nil {
+// TestGenerateFromPackagesShared pins the sharing contract: two Share
+// aliases of one generated tree read the same modules, and an Add on one
+// detaches it without leaking into the sibling or the base.
+func TestGenerateFromPackagesShared(t *testing.T) {
+	gromacs := rpm.NewPackage("gromacs", "4.6.5-2.el6", rpm.ArchX86_64).
+		Category("Scientific Applications").Build()
+	base := GenerateFromPackages([]*rpm.Package{gromacs}, "Scientific Applications")
+	a, b := base.Share(), base.Share()
+	shared, err := base.Resolve("gromacs/4.6.5")
+	if err != nil {
 		t.Fatal(err)
 	}
-	a := GenerateFromPackages(db, "Scientific Applications")
-	b := GenerateFromPackages(db, "Scientific Applications")
-	if len(a.Avail()) != 1 || len(b.Avail()) != 1 {
-		t.Fatalf("Avail = %v / %v", a.Avail(), b.Avail())
+	for name, sys := range map[string]*System{"a": a, "b": b} {
+		if m, err := sys.Resolve("gromacs/4.6.5"); err != nil || m != shared {
+			t.Fatalf("%s.Resolve = (%v, %v), want the base's module", name, m, err)
+		}
 	}
 
 	a.Add(mod("extra", "1.0", true))
@@ -252,10 +253,10 @@ func TestGenerateFromPackagesMemoized(t *testing.T) {
 		t.Fatalf("a.Avail after Add = %v", a.Avail())
 	}
 	if len(b.Avail()) != 1 {
-		t.Fatalf("Add leaked into sibling system: %v", b.Avail())
+		t.Fatalf("Add leaked into sibling alias: %v", b.Avail())
 	}
-	if c := GenerateFromPackages(db, "Scientific Applications"); len(c.Avail()) != 1 {
-		t.Fatalf("Add leaked into memoized tree: %v", c.Avail())
+	if len(base.Avail()) != 1 {
+		t.Fatalf("Add leaked into base: %v", base.Avail())
 	}
 
 	// Replacing a module that came from the shared tree must copy, not
@@ -265,7 +266,9 @@ func TestGenerateFromPackagesMemoized(t *testing.T) {
 	if m, err := b.Resolve("gromacs/4.6.5"); err != nil || m != replacement {
 		t.Fatalf("Resolve after replace = (%v, %v)", m, err)
 	}
-	if m, _ := GenerateFromPackages(db, "Scientific Applications").Resolve("gromacs/4.6.5"); m == replacement {
-		t.Fatal("replace leaked into memoized tree")
+	for name, sys := range map[string]*System{"a": a, "base": base} {
+		if m, _ := sys.Resolve("gromacs/4.6.5"); m != shared {
+			t.Fatalf("replace leaked into %s", name)
+		}
 	}
 }

@@ -13,8 +13,6 @@ package provision
 import (
 	"errors"
 	"fmt"
-	"strings"
-	"sync"
 	"time"
 
 	"xcbc/internal/cluster"
@@ -106,17 +104,17 @@ func (ins *Installer) InstallFrontend(eng *sim.Engine) (*Result, error) {
 	if err := fe.Packages().AdoptSet(set); err != nil {
 		return nil, fmt.Errorf("provision: frontend package install: %w", err)
 	}
-	actions, err := ins.Graph.ActionsFor(string(rocks.ApplianceFrontend))
+	post, err := ins.Graph.PostInstall(string(rocks.ApplianceFrontend))
 	if err != nil {
 		return nil, err
 	}
 	cost := StagePartition + StageBaseImage + StagePostInstall +
-		time.Duration(len(pkgs))*PerPackage + time.Duration(len(actions))*PerAction
+		time.Duration(len(pkgs))*PerPackage + time.Duration(len(post.Actions))*PerAction
 	eng.RunUntil(eng.Now() + sim.Time(cost))
-	applyActions(fe, actions)
+	fe.AdoptSystemState(post.Services, post.Attrs)
 	fe.SetOS(ins.OSName)
-	ins.logf("frontend %s installed: %d packages, %d actions, %v", fe.Name, len(pkgs), len(actions), cost)
-	return &Result{Node: fe.Name, Packages: len(pkgs), Duration: (eng.Now() - start).Duration(), Actions: len(actions)}, nil
+	ins.logf("frontend %s installed: %d packages, %d actions, %v", fe.Name, len(pkgs), len(post.Actions), cost)
+	return &Result{Node: fe.Name, Packages: len(pkgs), Duration: (eng.Now() - start).Duration(), Actions: len(post.Actions)}, nil
 }
 
 // DiscoverComputes registers every compute node in the frontend database,
@@ -133,16 +131,16 @@ func (ins *Installer) DiscoverComputes() error {
 }
 
 // pendingInstall is a compute kickstart that has run its package
-// transaction but not yet been committed: post-install actions, the OS
+// transaction but not yet been committed: post-install state, the OS
 // marker, and the frontend-database installed flag all wait for commit.
 // Splitting the two phases lets a wave overlap many kickstarts in simulated
 // time and commit them together once the wave's clock advance is done.
 type pendingInstall struct {
-	node    *cluster.Node
-	name    string
-	pkgs    int
-	actions []string
-	cost    time.Duration
+	node *cluster.Node
+	name string
+	pkgs int
+	post *rocks.PostInstall
+	cost time.Duration
 }
 
 // kickstart validates and starts one compute install, leaving it pending.
@@ -172,13 +170,13 @@ func (ins *Installer) kickstart(name string) (*pendingInstall, error) {
 	if err := node.Packages().AdoptSet(set); err != nil {
 		return nil, fmt.Errorf("provision: %s package install: %w", name, err)
 	}
-	actions, err := ins.Graph.ActionsFor(string(rocks.ApplianceCompute))
+	post, err := ins.Graph.PostInstall(string(rocks.ApplianceCompute))
 	if err != nil {
 		return nil, err
 	}
 	cost := StagePXEBoot + StagePartition + StageBaseImage + StagePostInstall +
-		time.Duration(len(pkgs))*PerPackage + time.Duration(len(actions))*PerAction
-	return &pendingInstall{node: node, name: name, pkgs: len(pkgs), actions: actions, cost: cost}, nil
+		time.Duration(len(pkgs))*PerPackage + time.Duration(len(post.Actions))*PerAction
+	return &pendingInstall{node: node, name: name, pkgs: len(pkgs), post: post, cost: cost}, nil
 }
 
 // commit finalizes a pending install. duration is the simulated time the
@@ -186,13 +184,15 @@ func (ins *Installer) kickstart(name string) (*pendingInstall, error) {
 // and backoff time, and the wave as a whole advanced the clock by its
 // slowest member).
 func (ins *Installer) commit(p *pendingInstall, duration time.Duration) (*Result, error) {
-	applyActions(p.node, p.actions)
+	// Every node of an appliance adopts the graph's one shared
+	// service/attribute state copy-on-write instead of re-parsing actions.
+	p.node.AdoptSystemState(p.post.Services, p.post.Attrs)
 	p.node.SetOS(ins.OSName)
 	if err := ins.DB.MarkInstalled(p.name, true); err != nil {
 		return nil, err
 	}
 	ins.logf("compute %s kickstarted: %d packages in %v", p.name, p.pkgs, p.cost)
-	return &Result{Node: p.name, Packages: p.pkgs, Duration: duration, Actions: len(p.actions)}, nil
+	return &Result{Node: p.name, Packages: p.pkgs, Duration: duration, Actions: len(p.post.Actions)}, nil
 }
 
 // InstallCompute kickstarts one compute node sequentially: the simulation
@@ -248,90 +248,6 @@ func (ins *Installer) Reinstall(eng *sim.Engine, name string) (*Result, error) {
 	}
 	ins.logf("reinstall requested for %s", name)
 	return ins.InstallCompute(eng, name)
-}
-
-// applyActions executes graph post-install actions against a node. Every
-// node of an appliance receives the identical action list (memoized by
-// Graph.ActionsFor), so the resulting service/attribute maps are built once
-// per list and adopted copy-on-write instead of re-parsed per node.
-func applyActions(n *cluster.Node, actions []string) {
-	services, attrs := systemStateFor(actions)
-	n.AdoptSystemState(services, attrs)
-}
-
-// postInstallState is the node system state one action list produces.
-// actions keeps the exact list both for collision verification and to pin
-// the backing array alive so the pointer key stays unambiguous.
-type postInstallState struct {
-	actions  []string
-	services map[string]bool
-	attrs    map[string]string
-}
-
-type actionsKey struct {
-	first *string
-	n     int
-}
-
-var postStates sync.Map // actionsKey -> *postInstallState
-
-// systemStateFor returns the shared services/attrs maps for an action list,
-// building them on first sight. The key is the list's identity (first
-// element address + length) — stable for the memoized slices ActionsFor
-// hands out — verified element-by-element on every hit.
-func systemStateFor(actions []string) (map[string]bool, map[string]string) {
-	if len(actions) == 0 {
-		return nil, nil
-	}
-	key := actionsKey{first: &actions[0], n: len(actions)}
-	if v, ok := postStates.Load(key); ok {
-		st := v.(*postInstallState)
-		if sameActions(st.actions, actions) {
-			return st.services, st.attrs
-		}
-		services, attrs := buildSystemState(actions)
-		return services, attrs // key collision: serve uncached
-	}
-	services, attrs := buildSystemState(actions)
-	st := &postInstallState{actions: actions, services: services, attrs: attrs}
-	if v, loaded := postStates.LoadOrStore(key, st); loaded {
-		if st2 := v.(*postInstallState); sameActions(st2.actions, actions) {
-			return st2.services, st2.attrs
-		}
-	}
-	return st.services, st.attrs
-}
-
-func sameActions(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func buildSystemState(actions []string) (map[string]bool, map[string]string) {
-	var services map[string]bool
-	var attrs map[string]string
-	for _, a := range actions {
-		switch {
-		case strings.HasPrefix(a, "enable-service:"):
-			if services == nil {
-				services = make(map[string]bool)
-			}
-			services[strings.TrimPrefix(a, "enable-service:")] = true
-		case strings.HasPrefix(a, "mkdir:"):
-			if attrs == nil {
-				attrs = make(map[string]string)
-			}
-			attrs["dir:"+strings.TrimPrefix(a, "mkdir:")] = "present"
-		}
-	}
-	return services, attrs
 }
 
 // VendorProvision models what the Limulus ships with: vendor tooling that

@@ -31,11 +31,21 @@ type Graph struct {
 	nodes map[string]*GraphNode
 	edges map[string][]string // from -> to (from includes to)
 
-	// mu guards actions, the memoized ActionsFor results. Every node of a
-	// fleet asks for the same appliance roots, so the flatten runs once per
-	// root; any AddNode/AddEdge resets the memo.
-	mu      sync.Mutex
-	actions map[string][]string
+	// mu guards post, the memoized PostInstall results. Every node of a
+	// fleet asks for the same appliance roots, so the flatten and decode
+	// run once per root; any AddNode/AddEdge resets the memo.
+	mu   sync.Mutex
+	post map[string]*PostInstall
+}
+
+// PostInstall is the post-install state an appliance root produces: its
+// ordered actions and the services and attributes they decode to. Services
+// and Attrs are nil when no action sets them. A PostInstall is shared by
+// every caller asking for the same root: treat it as read-only.
+type PostInstall struct {
+	Actions  []string
+	Services map[string]bool
+	Attrs    map[string]string
 }
 
 // NewGraph returns an empty kickstart graph.
@@ -62,7 +72,7 @@ func (g *Graph) AddEdge(from, to string) {
 
 func (g *Graph) resetMemo() {
 	g.mu.Lock()
-	g.actions = nil
+	g.post = nil
 	g.mu.Unlock()
 }
 
@@ -106,31 +116,42 @@ func (g *Graph) Closure(root string) ([]*GraphNode, error) {
 	return out, nil
 }
 
-// ActionsFor returns the ordered post-install actions for an appliance
-// root. The result is memoized until the graph next changes and shared
-// between callers: treat it as read-only.
-func (g *Graph) ActionsFor(root string) ([]string, error) {
+// PostInstall returns the post-install state for an appliance root:
+// the closure's actions in order, with "enable-service:<name>" decoded to
+// Services[name] = true and "mkdir:<path>" to Attrs["dir:"+path] =
+// "present". The result is memoized until the graph next changes.
+func (g *Graph) PostInstall(root string) (*PostInstall, error) {
 	g.mu.Lock()
-	if cached, ok := g.actions[root]; ok {
-		g.mu.Unlock()
-		return cached, nil
+	defer g.mu.Unlock()
+	if p, ok := g.post[root]; ok {
+		return p, nil
 	}
-	g.mu.Unlock()
 	nodes, err := g.Closure(root)
 	if err != nil {
 		return nil, err
 	}
-	var actions []string
+	p := &PostInstall{}
 	for _, n := range nodes {
-		actions = append(actions, n.Actions...)
+		p.Actions = append(p.Actions, n.Actions...)
 	}
-	g.mu.Lock()
-	if g.actions == nil {
-		g.actions = make(map[string][]string)
+	for _, a := range p.Actions {
+		if svc, ok := strings.CutPrefix(a, "enable-service:"); ok {
+			if p.Services == nil {
+				p.Services = make(map[string]bool)
+			}
+			p.Services[svc] = true
+		} else if dir, ok := strings.CutPrefix(a, "mkdir:"); ok {
+			if p.Attrs == nil {
+				p.Attrs = make(map[string]string)
+			}
+			p.Attrs["dir:"+dir] = "present"
+		}
 	}
-	g.actions[root] = actions
-	g.mu.Unlock()
-	return actions, nil
+	if g.post == nil {
+		g.post = make(map[string]*PostInstall)
+	}
+	g.post[root] = p
+	return p, nil
 }
 
 // Names returns all fragment names, sorted.

@@ -186,11 +186,11 @@ func TestGraphClosureOrderAndActions(t *testing.T) {
 	if err := AttachXSEDEFragments(g, "torque"); err != nil {
 		t.Fatal(err)
 	}
-	actions, err := g.ActionsFor("compute")
+	post, err := g.PostInstall("compute")
 	if err != nil {
 		t.Fatal(err)
 	}
-	joined := strings.Join(actions, "\n")
+	joined := strings.Join(post.Actions, "\n")
 	for _, want := range []string{"enable-service:pbs_mom", "enable-service:gmond", "mkdir:/opt/apps", "enable-service:sshd"} {
 		if !strings.Contains(joined, want) {
 			t.Errorf("compute actions missing %q:\n%s", want, joined)
@@ -199,15 +199,45 @@ func TestGraphClosureOrderAndActions(t *testing.T) {
 	if strings.Contains(joined, "pbs_server") {
 		t.Error("compute should not run pbs_server")
 	}
-	feActions, err := g.ActionsFor("frontend")
+	for _, svc := range []string{"pbs_mom", "sshd"} {
+		if !post.Services[svc] {
+			t.Errorf("compute services missing %s: %v", svc, post.Services)
+		}
+	}
+	if post.Services["pbs_server"] {
+		t.Error("compute services include pbs_server")
+	}
+	if got := post.Attrs["dir:/opt/apps"]; got != "present" {
+		t.Errorf(`compute Attrs["dir:/opt/apps"] = %q, want "present"`, got)
+	}
+	if again, _ := g.PostInstall("compute"); again != post {
+		t.Error("PostInstall not memoized: repeat call built a new state")
+	}
+
+	fe, err := g.PostInstall("frontend")
 	if err != nil {
 		t.Fatal(err)
 	}
-	feJoined := strings.Join(feActions, "\n")
+	feJoined := strings.Join(fe.Actions, "\n")
 	for _, want := range []string{"enable-service:pbs_server", "enable-service:maui", "enable-service:gmetad", "enable-service:httpd"} {
 		if !strings.Contains(feJoined, want) {
 			t.Errorf("frontend actions missing %q", want)
 		}
+	}
+
+	// Changing the graph after a PostInstall call resets the memo: a new
+	// fragment's service appears in the next result.
+	g.AddNode(&GraphNode{Name: "extra", Actions: []string{"enable-service:lustre-client"}})
+	g.AddEdge("compute", "extra")
+	grown, err := g.PostInstall("compute")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !grown.Services["lustre-client"] {
+		t.Errorf("fragment added after PostInstall missing from services: %v", grown.Services)
+	}
+	if post.Services["lustre-client"] {
+		t.Error("memo reset wrote through into the earlier shared state")
 	}
 }
 
@@ -217,11 +247,11 @@ func TestGraphSchedulerVariants(t *testing.T) {
 		if err := AttachXSEDEFragments(g, sched); err != nil {
 			t.Fatal(err)
 		}
-		actions, err := g.ActionsFor("frontend")
+		post, err := g.PostInstall("frontend")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !strings.Contains(strings.Join(actions, "\n"), svc) {
+		if !strings.Contains(strings.Join(post.Actions, "\n"), svc) {
 			t.Errorf("%s: missing %s", sched, svc)
 		}
 	}
@@ -260,12 +290,12 @@ func TestGraphSharedFragmentVisitedOnce(t *testing.T) {
 	g.AddEdge("root", "right")
 	g.AddEdge("left", "shared")
 	g.AddEdge("right", "shared")
-	actions, err := g.ActionsFor("root")
+	post, err := g.PostInstall("root")
 	if err != nil {
 		t.Fatal(err)
 	}
 	count := 0
-	for _, a := range actions {
+	for _, a := range post.Actions {
 		if a == "s" {
 			count++
 		}

@@ -441,24 +441,17 @@ func (s *Server) executeRun(fr *fleetRecord, run *scenarioRun, sc *xcbc.Scenario
 		err = fmt.Errorf("%w at recorded cursor %d", errReplayDiverged, target.cursor)
 		result = nil
 	}
-	run.mu.Lock()
+	var state, errMsg string
 	switch {
 	case err != nil:
-		run.state, run.err = "error", err
+		state, errMsg = "error", err.Error()
 	case result.Passed():
-		run.state, run.result = "passed", result
+		state = "passed"
 	default:
-		run.state, run.result = "failed", result
+		state = "failed"
 	}
-	state := run.state
-	var errMsg string
-	if run.err != nil {
-		errMsg = run.err.Error()
-	}
-	run.mu.Unlock()
-	fr.mu.Lock()
-	fr.runLive = false
-	fr.mu.Unlock()
+	// Journal the settlement before publishing it: a client that sees the
+	// settled state must find the run settled after a restart too.
 	if st != nil {
 		rec := scenarioSettledRec{FleetID: fr.ID, RunID: run.ID, State: state, Error: errMsg}
 		if result != nil {
@@ -473,6 +466,17 @@ func (s *Server) executeRun(fr *fleetRecord, run *scenarioRun, sc *xcbc.Scenario
 			st.emit(recFleetProvisioned, idRec{ID: fr.ID})
 		}
 	}
+	run.mu.Lock()
+	run.state = state
+	if err != nil {
+		run.err = err
+	} else {
+		run.result = result
+	}
+	run.mu.Unlock()
+	fr.mu.Lock()
+	fr.runLive = false
+	fr.mu.Unlock()
 	close(run.done)
 }
 

@@ -3,6 +3,7 @@ package xcbc
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 )
@@ -253,6 +254,16 @@ func TestRegistry(t *testing.T) {
 	}
 	if _, err := BuildDistribution("torque", "nosuchroll"); !errors.Is(err, ErrUnknownRoll) {
 		t.Errorf("BuildDistribution bad roll = %v, want ErrUnknownRoll", err)
+	}
+	// The first unknown roll in request order is the one named, even though
+	// the distribution cache keys on the sorted roll set.
+	if _, err := BuildDistribution("torque", "ganglia", "zz-roll", "aa-roll"); !errors.Is(err, ErrUnknownRoll) ||
+		!strings.Contains(err.Error(), `"zz-roll"`) {
+		t.Errorf("BuildDistribution two bad rolls = %v, want ErrUnknownRoll naming zz-roll", err)
+	}
+	if _, err := NewXCBC(WithRolls("ganglia", "zz-roll", "aa-roll")).Deploy(context.Background()); !errors.Is(err, ErrUnknownRoll) ||
+		!strings.Contains(err.Error(), `"zz-roll"`) {
+		t.Errorf("WithRolls two bad rolls = %v, want ErrUnknownRoll naming zz-roll", err)
 	}
 	if _, err := BuildDistribution("nfs", "ganglia"); !errors.Is(err, ErrUnknownScheduler) {
 		t.Errorf("BuildDistribution bad scheduler = %v, want ErrUnknownScheduler", err)
